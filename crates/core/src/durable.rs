@@ -104,7 +104,9 @@ pub enum DurableEvent {
 pub trait DurabilityHook: Send + std::fmt::Debug {
     /// Durably append a batch of events, preserving order. An error fails
     /// the submission that produced the events (the in-memory state is
-    /// already updated, but the caller learns durability was lost).
+    /// already updated, but the caller learns durability was lost); the
+    /// events go back to the front of the journal and the next successful
+    /// drain appends them ([`crate::engine::drain_journal`]).
     fn append(&mut self, events: &[DurableEvent]) -> std::io::Result<()>;
 }
 
@@ -128,8 +130,12 @@ pub fn replay_event(event: &DurableEvent, history: &mut History, estimator: &mut
         }
         DurableEvent::Evict { name } => history.evict(*name),
         DurableEvent::SetStats { name, stats } => history.set_stats(*name, *stats),
+        // A Simulated-mode task (`input_cells == 0`) is journaled but never
+        // observed: the monitor skips it, so replay must too.
         DurableEvent::Observe { op, task, impl_index, input_cells, seconds } => {
-            estimator.observe(*op, *task, *impl_index, *input_cells, *seconds);
+            if *input_cells > 0 {
+                estimator.observe(*op, *task, *impl_index, *input_cells, *seconds);
+            }
         }
     }
 }

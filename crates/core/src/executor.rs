@@ -113,6 +113,54 @@ fn artifact_cells(a: &Artifact) -> u64 {
     (a.size_bytes() as u64 / 8).max(1)
 }
 
+impl TaskMetric {
+    /// The record of plan edge `e`, which cost `cost_seconds` over
+    /// `input_cells` input cells.
+    pub fn of(aug: &Augmentation, e: EdgeId, cost_seconds: f64, input_cells: u64) -> Self {
+        let label = aug.graph.edge(e);
+        TaskMetric {
+            edge: e,
+            op: label.op,
+            task: label.task,
+            impl_index: label.impl_index,
+            cost_seconds,
+            input_cells,
+            is_load: label.is_load(),
+        }
+    }
+}
+
+/// Run hyperedge `e` in Real mode: a load from `store`, or the kernel over
+/// `inputs` (the tail artifacts in tail order; ignored for loads). Returns
+/// the outputs in head order, the task's seconds (measured kernel time, or
+/// the store's load cost) and its input cells — the statistics bucket key.
+pub fn execute_edge(
+    aug: &Augmentation,
+    e: EdgeId,
+    inputs: &[&Artifact],
+    store: &impl ArtifactStorage,
+) -> Result<(Vec<Artifact>, f64, u64), ExecError> {
+    let label = aug.graph.edge(e);
+    if label.is_load() {
+        let name = aug.graph.node(aug.graph.head(e)[0]).name;
+        let (artifact, cost) = match &label.dataset {
+            Some(id) => {
+                store.load_dataset(id).ok_or_else(|| ExecError::MissingDataset(id.clone()))?
+            }
+            None => store
+                .load_artifact(name)
+                .map_err(|err| ExecError::Corrupt(name, err))?
+                .ok_or(ExecError::MissingArtifact(name))?,
+        };
+        let cells = artifact_cells(&artifact);
+        return Ok((vec![artifact], cost, cells));
+    }
+    let cells: u64 = inputs.iter().map(|a| artifact_cells(a)).sum();
+    let start = Instant::now();
+    let outputs = hyppo_ml::execute(label.op, label.task, label.impl_index, &label.config, inputs)?;
+    Ok((outputs, start.elapsed().as_secs_f64(), cells))
+}
+
 /// Execute `plan_edges` over the augmentation.
 ///
 /// `costs` provides the virtual clock for [`ExecMode::Simulated`] and is
@@ -129,51 +177,25 @@ pub fn execute_plan(
     let mut produced: HashMap<hyppo_hypergraph::NodeId, Artifact> = HashMap::new();
 
     for e in order {
-        let label = aug.graph.edge(e);
         if mode == ExecMode::Simulated {
             let cost = costs.get(e.index()).copied().unwrap_or(0.0);
-            outcome.metrics.push(TaskMetric {
-                edge: e,
-                op: label.op,
-                task: label.task,
-                impl_index: label.impl_index,
-                cost_seconds: cost,
-                input_cells: 0,
-                is_load: label.is_load(),
-            });
+            outcome.metrics.push(TaskMetric::of(aug, e, cost, 0));
             outcome.total_seconds += cost;
             continue;
         }
 
-        let (outputs, cost_seconds, input_cells) = if label.is_load() {
-            let head = aug.graph.head(e)[0];
-            let name = aug.graph.node(head).name;
-            let (artifact, cost) = match &label.dataset {
-                Some(id) => {
-                    store.load_dataset(id).ok_or_else(|| ExecError::MissingDataset(id.clone()))?
-                }
-                None => store
-                    .load_artifact(name)
-                    .map_err(|e| ExecError::Corrupt(name, e))?
-                    .ok_or(ExecError::MissingArtifact(name))?,
-            };
-            let cells = artifact_cells(&artifact);
-            (vec![artifact], cost, cells)
+        let inputs: Vec<&Artifact> = if aug.graph.edge(e).is_load() {
+            Vec::new()
         } else {
-            let inputs: Vec<&Artifact> = aug
-                .graph
+            aug.graph
                 .tail(e)
                 .iter()
                 .map(|v| {
                     produced.get(v).ok_or_else(|| ExecError::MissingInput(aug.graph.node(*v).name))
                 })
-                .collect::<Result<_, _>>()?;
-            let cells: u64 = inputs.iter().map(|a| artifact_cells(a)).sum();
-            let start = Instant::now();
-            let outputs =
-                hyppo_ml::execute(label.op, label.task, label.impl_index, &label.config, &inputs)?;
-            (outputs, start.elapsed().as_secs_f64(), cells)
+                .collect::<Result<_, _>>()?
         };
+        let (outputs, cost_seconds, input_cells) = execute_edge(aug, e, &inputs, store)?;
 
         for (artifact, &head) in outputs.into_iter().zip(aug.graph.head(e)) {
             // A node may be coverable by two plan edges (e.g. a split that
@@ -183,15 +205,7 @@ pub fn execute_plan(
             produced.entry(head).or_insert_with(|| artifact.clone());
             outcome.artifacts.entry(name).or_insert(artifact);
         }
-        outcome.metrics.push(TaskMetric {
-            edge: e,
-            op: label.op,
-            task: label.task,
-            impl_index: label.impl_index,
-            cost_seconds,
-            input_cells,
-            is_load: label.is_load(),
-        });
+        outcome.metrics.push(TaskMetric::of(aug, e, cost_seconds, input_cells));
         outcome.total_seconds += cost_seconds;
     }
     Ok(outcome)

@@ -99,6 +99,14 @@ impl History {
         std::mem::take(&mut self.journal)
     }
 
+    /// Put events taken by [`History::take_events`] back at the front of
+    /// the journal, ahead of anything journaled since — for a drain whose
+    /// append failed.
+    pub(crate) fn requeue_events(&mut self, mut events: Vec<DurableEvent>) {
+        events.append(&mut self.journal);
+        self.journal = events;
+    }
+
     /// Append an event to the journal without applying it. No-op while the
     /// journal is disabled. The system facade routes estimator observations
     /// through here so one ordered stream carries both history mutations

@@ -25,6 +25,9 @@
 //!   bandwidth-modelled load cost;
 //! - [`durable`] — the durable event vocabulary and [`durable::DurabilityHook`]
 //!   trait behind the `hyppo-persist` write-ahead log;
+//! - [`engine`] — the submission engine: planning one augmentation or a
+//!   batch, committing an executed outcome, assembling the report, and
+//!   draining the journal, shared by both session drivers;
 //! - [`system`] — the [`system::Hyppo`] facade tying everything together:
 //!   `submit(spec) → augment → optimize → execute → record → materialize`.
 
@@ -34,6 +37,7 @@ pub mod augment;
 pub mod codec;
 pub mod cost;
 pub mod durable;
+pub mod engine;
 pub mod estimator;
 pub mod executor;
 pub mod explain;

@@ -189,12 +189,6 @@ impl ArtifactStore {
         self.datasets.keys().map(String::as_str)
     }
 
-    /// Move all registered datasets out of the store (sharding layers
-    /// relocate them wholesale).
-    pub fn take_datasets(&mut self) -> HashMap<String, Dataset> {
-        std::mem::take(&mut self.datasets)
-    }
-
     /// Total bytes of all registered raw datasets (the basis for relative
     /// storage budgets — the paper's `B = 0.1 × dataset_size`).
     pub fn total_dataset_bytes(&self) -> u64 {

@@ -1,17 +1,17 @@
 //! The HYPPO system facade (§IV-A): parser → augmenter → plan generator →
 //! executor → monitor → history manager, wired end-to-end.
 
-use crate::augment::{self, annotate_costs, AugmentOptions, Augmentation};
+use crate::augment::{self, AugmentOptions, Augmentation};
 use crate::cost::PriceModel;
-use crate::durable::{DurabilityHook, DurableEvent};
+use crate::durable::DurabilityHook;
+use crate::engine::{self, PlannedBatch};
 use crate::estimator::CostEstimator;
 use crate::executor::{execute_plan, ExecError, ExecMode};
 use crate::history::History;
-use crate::materialize::{MaterializeConfig, Materializer, PlanLocality};
-use crate::monitor::record_outcome;
-use crate::optimizer::batch::{BatchItem, BatchPlanStats};
+use crate::materialize::PlanLocality;
+use crate::optimizer::batch::BatchPlanStats;
 use crate::optimizer::bounds::{BoundsCacheStats, PlannerBoundsCache};
-use crate::optimizer::{Plan, PlanRequest, Planner};
+use crate::optimizer::{Plan, Planner};
 use crate::store::ArtifactStore;
 use hyppo_pipeline::{build_pipeline, ArtifactName, Dictionary, PipelineSpec};
 use hyppo_tensor::Dataset;
@@ -116,8 +116,8 @@ pub enum SubmitError {
     Exec(ExecError),
     /// The submission executed but its events could not be made durable
     /// (the attached [`DurabilityHook`] failed). In-memory state is
-    /// updated; a crash before the next successful append loses this
-    /// submission's history.
+    /// updated and the events stay queued for the next drain; a crash
+    /// before the next successful append loses this submission's history.
     Durability(std::io::Error),
     /// A serving-layer failure outside the submission itself — admission
     /// rejection, cancellation, or runtime shutdown. Produced by
@@ -203,14 +203,10 @@ impl Hyppo {
     /// Drain journaled events into the attached durability hook. No-op
     /// without a hook or without pending events.
     pub fn flush_durability(&mut self) -> std::io::Result<()> {
-        let Some(hook) = self.durability.as_mut() else {
-            return Ok(());
-        };
-        let events = self.history.take_events();
-        if events.is_empty() {
-            return Ok(());
+        match self.durability.as_mut() {
+            Some(hook) => engine::drain_journal(&mut self.history, hook.as_mut()),
+            None => Ok(()),
         }
-        hook.append(&events)
     }
 
     /// Register a raw dataset as loadable from the source.
@@ -227,7 +223,7 @@ impl Hyppo {
 
     /// Bounds-cache counters: hits, from-scratch recomputes, and
     /// journal-repaired patch-forwards across all submissions so far.
-    pub fn bounds_stats(&self) -> crate::optimizer::bounds::BoundsCacheStats {
+    pub fn bounds_stats(&self) -> BoundsCacheStats {
         self.bounds_cache.stats()
     }
 
@@ -323,43 +319,16 @@ impl Hyppo {
         let stats_before = self.bounds_stats();
         let opt_start = Instant::now();
         let pipelines: Vec<_> = specs.into_iter().map(build_pipeline).collect();
-        let augs: Vec<Augmentation> = pipelines
-            .iter()
-            .map(|p| {
-                augment::augment(p, &self.history, &self.config.dictionary, self.config.augment)
-            })
-            .collect();
-        let costs: Vec<Vec<f64>> =
-            augs.iter().map(|a| annotate_costs(a, &self.estimator, &self.store)).collect();
-        let planner =
-            self.config.search.clone().bounds_cache(std::sync::Arc::clone(&self.bounds_cache));
-        let items: Vec<BatchItem<'_, _, _>> = augs
-            .iter()
-            .zip(&costs)
-            .map(|(a, c)| {
-                BatchItem::new(
-                    &a.graph,
-                    PlanRequest::new(c, a.source, &a.targets).with_new_tasks(&a.new_tasks),
-                )
-            })
-            .collect();
-        let batch = planner.plan_batch(&items);
-        drop(items);
-        let plans: Vec<Plan> = batch
-            .plans
-            .iter()
-            .map(|p| p.clone().ok_or(SubmitError::NoPlan))
-            .collect::<Result<_, _>>()?;
-        // The joint materialization decision: artifacts produced by plan
-        // edges two or more plans share.
-        let shared_artifacts: Vec<ArtifactName> = batch
-            .shared_edges
-            .iter()
-            .filter(|e| e.index() < augs[0].graph.edge_bound())
-            .flat_map(|&e| augs[0].graph.edge_ref(e).head.iter())
-            .map(|&n| augs[0].graph.node(n).name)
-            .collect();
-        let optimize_share = opt_start.elapsed().as_secs_f64() / augs.len() as f64;
+        let PlannedBatch { augs, costs, plans, stats, shared_artifacts, optimize_share } =
+            engine::plan_batch(
+                &pipelines,
+                &self.history,
+                &self.estimator,
+                &self.store,
+                &self.config,
+                &self.bounds_cache,
+                opt_start,
+            )?;
 
         let mut reports = Vec::with_capacity(augs.len());
         let mut replans = 0usize;
@@ -384,7 +353,7 @@ impl Hyppo {
             }
         }
         let bounds_delta = self.bounds_stats().delta_since(&stats_before);
-        Ok(BatchRunReport { reports, batch: batch.stats, bounds_delta, shared_artifacts, replans })
+        Ok(BatchRunReport { reports, batch: stats, bounds_delta, shared_artifacts, replans })
     }
 
     fn run_augmentation(
@@ -392,24 +361,19 @@ impl Hyppo {
         aug: Augmentation,
         opt_start: Instant,
     ) -> Result<RunReport, SubmitError> {
-        let costs = annotate_costs(&aug, &self.estimator, &self.store);
-        let plan = self
-            .config
-            .search
-            .clone()
-            .bounds_cache(std::sync::Arc::clone(&self.bounds_cache))
-            .plan(
-                &aug.graph,
-                PlanRequest::new(&costs, aug.source, &aug.targets).with_new_tasks(&aug.new_tasks),
-            )
-            .ok_or(SubmitError::NoPlan)?;
+        let (costs, plan) = engine::plan_augmentation(
+            &aug,
+            &self.estimator,
+            &self.store,
+            &self.config.search,
+            &self.bounds_cache,
+        )?;
         let optimize_seconds = opt_start.elapsed().as_secs_f64();
         self.finish_submission(&aug, &costs, &plan, optimize_seconds)
     }
 
-    /// Execute a planned augmentation and absorb the outcome: run the plan,
-    /// record into history/estimator, journal durable events, materialize
-    /// under the budget, and assemble the [`RunReport`]. Shared by the
+    /// Execute a planned augmentation, commit the outcome through
+    /// [`engine::commit_outcome`] and drain the journal. Shared by the
     /// sequential path ([`Hyppo::submit`]/[`Hyppo::retrieve`]) and the batch
     /// path ([`Hyppo::submit_batch`]), which plans up front and finishes each
     /// item in submission order.
@@ -421,66 +385,24 @@ impl Hyppo {
         optimize_seconds: f64,
     ) -> Result<RunReport, SubmitError> {
         let outcome = execute_plan(aug, &plan.edges, &self.store, self.config.mode, costs)?;
-        let target_names: Vec<ArtifactName> =
-            aug.targets.iter().map(|&t| aug.graph.node(t).name).collect();
-        record_outcome(aug, &outcome, &target_names, &mut self.history, &mut self.estimator);
-        // Mirror the estimator observations into the durable event stream:
-        // the history journals its own mutations, but estimator state lives
-        // outside it. Ordering relative to the history events is free —
-        // the two replay into disjoint state.
-        if self.history.journal_enabled() {
-            for m in &outcome.metrics {
-                if !m.is_load {
-                    self.history.journal_event(DurableEvent::Observe {
-                        op: m.op,
-                        task: m.task,
-                        impl_index: m.impl_index,
-                        input_cells: m.input_cells,
-                        seconds: m.cost_seconds,
-                    });
-                }
-            }
-        }
-
-        // Materialize under the budget.
-        let report_mat = if self.config.budget_bytes > 0 {
-            let materializer = Materializer::new(MaterializeConfig {
-                budget_bytes: self.config.budget_bytes,
-                locality: self.config.locality,
-            });
-            materializer.run(
-                &mut self.history,
-                &mut self.store,
-                &self.estimator,
-                &outcome.artifacts,
-            )
-        } else {
-            Default::default()
-        };
-
+        let materialized = engine::commit_outcome(
+            aug,
+            &outcome,
+            &mut self.history,
+            &mut self.estimator,
+            &mut self.store,
+            &self.config,
+        );
         self.cumulative_seconds += outcome.total_seconds;
         self.flush_durability().map_err(SubmitError::Durability)?;
-        let values: HashMap<ArtifactName, f64> =
-            target_names.iter().filter_map(|&n| outcome.value(n).map(|v| (n, v))).collect();
-        Ok(RunReport {
-            planned_cost: plan.cost,
-            execution_seconds: outcome.total_seconds,
-            optimize_seconds,
-            tasks_executed: outcome.metrics.len(),
-            loads: outcome.metrics.iter().filter(|m| m.is_load).count(),
-            new_tasks: aug.new_tasks.len(),
-            expansions: plan.expansions,
-            pops: plan.pops,
-            stored: report_mat.stored.len(),
-            evicted: report_mat.evicted.len(),
-            values,
-        })
+        Ok(engine::run_report(aug, plan, &outcome, optimize_seconds, &materialized))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::PlanRequest;
     use hyppo_ml::{Config, LogicalOp};
     use hyppo_tensor::{Matrix, SeededRng, TaskKind};
 

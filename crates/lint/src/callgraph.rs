@@ -2,9 +2,10 @@
 //!
 //! The resolver maps a [`Recv`]-classified call to candidate [`FnModel`]s:
 //! `self.f()` stays inside the enclosing impl type, `Type::f()` resolves
-//! against that type's associated functions, an unknown-receiver `expr.f()`
-//! fans out to every workspace method named `f`, and a bare `f()` to every
-//! free function. Fan-out over-approximates on purpose — the rules downstream
+//! against that type's associated functions, `module::f()` (a lowercase
+//! qualifier) against the free functions of files named after that module,
+//! an unknown-receiver `expr.f()` fans out to every workspace method named
+//! `f`, and a bare `f()` to every free function. Fan-out over-approximates on purpose — the rules downstream
 //! accept justified suppressions, not missed deadlocks. Direct recursion
 //! (`f` resolving to itself) is skipped; mutual recursion is cut by the
 //! in-progress marker during summary computation, which under-approximates
@@ -50,6 +51,9 @@ impl Workspace {
                 let ty = self.fns[j].self_ty.as_deref();
                 match recv {
                     Recv::SelfDot => ty.is_some() && ty == caller_ty,
+                    Recv::Path(m) if m.starts_with(|c: char| c.is_ascii_lowercase()) => {
+                        ty.is_none() && module_of(&self.fns[j].file) == m
+                    }
                     Recv::Path(t) => {
                         let want = if t == "Self" { caller_ty } else { Some(t.as_str()) };
                         ty.is_some() && ty == want
@@ -59,6 +63,17 @@ impl Workspace {
                 }
             })
             .collect()
+    }
+}
+
+/// The module a source file defines: its stem, or its directory for a
+/// `mod.rs`.
+fn module_of(file: &str) -> &str {
+    let mut parts = file.trim_end_matches(".rs").rsplit('/');
+    match parts.next() {
+        Some("mod") => parts.next().unwrap_or(""),
+        Some(stem) => stem,
+        None => "",
     }
 }
 
@@ -226,6 +241,21 @@ mod tests {
         let callees = w.resolve(top, "make", &Recv::Path("A".to_string()));
         assert_eq!(callees.len(), 1);
         assert_eq!(w.fns[callees[0]].self_ty.as_deref(), Some("A"));
+    }
+
+    #[test]
+    fn module_path_calls_resolve_to_that_modules_free_fns() {
+        let lines = scan("pub fn drain() {}\n");
+        let mut fns = file_models("crates/x/src/engine.rs", &lines, &[]);
+        fns.extend(file_models("crates/x/src/other.rs", &lines, &[]));
+        let lines = scan("impl A { fn drain(&self) {} }\nfn top() { engine::drain(); }\n");
+        fns.extend(file_models("crates/y/src/lib.rs", &lines, &[]));
+        let w = Workspace::new(fns);
+        let top = idx(&w, "top");
+        let callees = w.resolve(top, "drain", &Recv::Path("engine".to_string()));
+        assert_eq!(callees.len(), 1);
+        assert_eq!(w.fns[callees[0]].file, "crates/x/src/engine.rs");
+        assert_eq!(module_of("crates/x/src/optimizer/mod.rs"), "optimizer");
     }
 
     #[test]

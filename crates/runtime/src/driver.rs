@@ -34,20 +34,17 @@
 //! cleared the history flag, so the new plan routes around the evicted
 //! artifact.
 
-use crate::executor::{execute_plan_parallel, WavefrontMetrics};
+use crate::executor::{execute_plan_parallel, ParallelOutcome, WavefrontMetrics};
 use crate::store::{SharedArtifactStore, DEFAULT_SHARDS};
-use hyppo_core::augment::{self, annotate_costs, Augmentation};
-use hyppo_core::durable::{DurabilityHook, DurableEvent};
+use hyppo_core::augment::{self, Augmentation};
+use hyppo_core::durable::DurabilityHook;
+use hyppo_core::engine::{self, PlannedBatch};
 use hyppo_core::executor::{execute_plan, ExecError, ExecMode};
-use hyppo_core::materialize::{MaterializeConfig, Materializer};
-use hyppo_core::monitor::record_outcome;
-use hyppo_core::optimizer::batch::BatchItem;
-use hyppo_core::optimizer::{Plan, PlanRequest};
+use hyppo_core::optimizer::Plan;
 use hyppo_core::system::{BatchRunReport, HyppoConfig, RunReport, SubmitError};
 use hyppo_core::{ArtifactStore, CostEstimator, History, PlannerBoundsCache};
 use hyppo_pipeline::{build_pipeline, ArtifactName, PipelineSpec};
 use hyppo_tensor::Dataset;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -136,27 +133,12 @@ pub struct SharedHyppo {
 impl SharedHyppo {
     /// Fresh shared system with [`DEFAULT_SHARDS`] store shards.
     pub fn new(config: HyppoConfig) -> Self {
-        SharedHyppo::from_parts(
-            config,
-            History::new(),
-            CostEstimator::new(),
-            ArtifactStore::new(),
-            DEFAULT_SHARDS,
-        )
-    }
-
-    /// Wrap existing state (typically moved out of a serial [`Hyppo`](hyppo_core::Hyppo)).
-    pub fn from_parts(
-        config: HyppoConfig,
-        history: History,
-        estimator: CostEstimator,
-        store: ArtifactStore,
-        n_shards: usize,
-    ) -> Self {
+        let catalog =
+            CatalogVersion { epoch: 0, history: History::new(), estimator: CostEstimator::new() };
         SharedHyppo {
             config,
-            catalog: RwLock::new(Arc::new(CatalogVersion { epoch: 0, history, estimator })),
-            store: SharedArtifactStore::from_store(store, n_shards),
+            catalog: RwLock::new(Arc::new(catalog)),
+            store: SharedArtifactStore::new(DEFAULT_SHARDS),
             cumulative_seconds: Mutex::new(0.0),
             lock_wait_nanos: AtomicU64::new(0),
             bounds_cache: Arc::new(PlannerBoundsCache::new()),
@@ -241,18 +223,13 @@ impl SharedHyppo {
         let Some(hook) = guard.as_mut() else {
             return Ok(());
         };
-        let events = history.take_events();
-        if events.is_empty() {
-            return Ok(());
-        }
         // hyppo-lint: allow(blocking-in-critical-section) appends must retire
         // in commit order, which the durability mutex guarantees; the hook's
         // IO (buffer or fsync) is the point of holding it
-        hook.append(&events)
+        engine::drain_journal(history, hook.as_mut())
     }
 
-    /// Tear down into `(history, estimator, store, cumulative_seconds)` —
-    /// the inverse of [`SharedHyppo::from_parts`].
+    /// Tear down into `(history, estimator, store, cumulative_seconds)`.
     pub fn into_parts(self) -> (History, CostEstimator, ArtifactStore, f64) {
         let version = self.catalog.into_inner().unwrap_or_else(|e| e.into_inner());
         let version = Arc::try_unwrap(version).unwrap_or_else(|arc| (*arc).clone());
@@ -265,8 +242,9 @@ impl SharedHyppo {
         let size = dataset.size_bytes() as u64;
         self.store.register_dataset(id, dataset);
         let (_, _, durable) = self.commit(|history, _| history.record_dataset(id, size));
-        // Registration events stay queued on hook failure; the next
-        // successful submission re-drains them.
+        // On hook failure the drain requeues the registration events at the
+        // front of the journal; the next successful drain appends them
+        // first, so the log keeps epoch order.
         let _ = durable;
     }
 
@@ -338,18 +316,13 @@ impl SharedHyppo {
             // Arc clone, commits from other tenants proceed concurrently.
             let snap = self.snapshot();
             let aug = build(&snap.history).ok_or(SubmitError::NoPlan)?;
-            let costs = annotate_costs(&aug, &snap.estimator, &self.store);
-            let plan = self
-                .config
-                .search
-                .clone()
-                .bounds_cache(Arc::clone(&self.bounds_cache))
-                .plan(
-                    &aug.graph,
-                    PlanRequest::new(&costs, aug.source, &aug.targets)
-                        .with_new_tasks(&aug.new_tasks),
-                )
-                .ok_or(SubmitError::NoPlan)?;
+            let (costs, plan) = engine::plan_augmentation(
+                &aug,
+                &snap.estimator,
+                &self.store,
+                &self.config.search,
+                &self.bounds_cache,
+            )?;
             let optimize_seconds = opt_start.elapsed().as_secs_f64();
 
             match self.execute_and_commit(&aug, &costs, &plan, workers, optimize_seconds) {
@@ -375,12 +348,11 @@ impl SharedHyppo {
 
     /// Execute a planned augmentation and commit its outcome: run the plan
     /// on the wavefront executor (or the virtual clock) with no lock held,
-    /// then commit one catalog epoch — record into history/estimator,
-    /// journal durable events, and materialize, all inside the catalog
-    /// write-lock critical section so budget accounting is never
-    /// interleaved between sessions. Shared by
-    /// [`run_shared`](SharedHyppo::run_shared) (which wraps it in the
-    /// eviction-race replan loop) and
+    /// then commit one catalog epoch through [`engine::commit_outcome`] —
+    /// record, journal and materialize inside the catalog write-lock
+    /// critical section, so budget accounting is never interleaved between
+    /// sessions. Shared by [`run_shared`](SharedHyppo::run_shared) (which
+    /// wraps it in the eviction-race replan loop) and
     /// [`submit_batch_shared`](SharedHyppo::submit_batch_shared) (which
     /// plans the whole batch up front and finishes items in order).
     fn execute_and_commit(
@@ -392,72 +364,34 @@ impl SharedHyppo {
         optimize_seconds: f64,
     ) -> Result<(RunReport, WavefrontMetrics, u64), SubmitError> {
         // Execute without holding any coarse lock.
-        let executed = if self.config.mode == ExecMode::Real {
-            execute_plan_parallel(aug, &plan.edges, &self.store, workers)
+        let ParallelOutcome { outcome, metrics } = if self.config.mode == ExecMode::Real {
+            execute_plan_parallel(aug, &plan.edges, &self.store, workers)?
         } else {
-            execute_plan(aug, &plan.edges, &self.store, ExecMode::Simulated, costs).map(|outcome| {
-                let wave = WavefrontMetrics {
-                    workers: 1,
-                    dispatched: outcome.metrics.len(),
-                    peak_concurrency: 1,
-                    wall_seconds: outcome.total_seconds,
-                    task_seconds: outcome.total_seconds,
-                };
-                crate::executor::ParallelOutcome { outcome, metrics: wave }
-            })
+            let outcome = execute_plan(aug, &plan.edges, &self.store, ExecMode::Simulated, costs)?;
+            let metrics = WavefrontMetrics {
+                workers: 1,
+                dispatched: outcome.metrics.len(),
+                peak_concurrency: 1,
+                wall_seconds: outcome.total_seconds,
+                task_seconds: outcome.total_seconds,
+            };
+            ParallelOutcome { outcome, metrics }
         };
-        let parallel = executed.map_err(SubmitError::Exec)?;
-        let outcome = parallel.outcome;
-        let target_names: Vec<ArtifactName> =
-            aug.targets.iter().map(|&t| aug.graph.node(t).name).collect();
-
-        // Record + materialize as one committed epoch.
-        let (report_mat, commit_epoch, durable) = self.commit(|history, estimator| {
-            record_outcome(aug, &outcome, &target_names, history, estimator);
-            // Mirror estimator observations into the durable event
-            // stream (see the serial facade for the rationale).
-            if history.journal_enabled() {
-                for m in &outcome.metrics {
-                    if !m.is_load {
-                        history.journal_event(DurableEvent::Observe {
-                            op: m.op,
-                            task: m.task,
-                            impl_index: m.impl_index,
-                            input_cells: m.input_cells,
-                            seconds: m.cost_seconds,
-                        });
-                    }
-                }
-            }
-            if self.config.budget_bytes > 0 {
-                let materializer = Materializer::new(MaterializeConfig {
-                    budget_bytes: self.config.budget_bytes,
-                    locality: self.config.locality,
-                });
-                materializer.run(history, &mut self.store.clone(), estimator, &outcome.artifacts)
-            } else {
-                Default::default()
-            }
+        let (materialized, commit_epoch, durable) = self.commit(|history, estimator| {
+            engine::commit_outcome(
+                aug,
+                &outcome,
+                history,
+                estimator,
+                &mut self.store.clone(),
+                &self.config,
+            )
         });
-        durable.map_err(SubmitError::Durability)?;
-
+        // The epoch is committed whatever the hook said, so the run counts.
         *self.cumulative_seconds.lock().unwrap_or_else(|e| e.into_inner()) += outcome.total_seconds;
-        let values: HashMap<ArtifactName, f64> =
-            target_names.iter().filter_map(|&n| outcome.value(n).map(|v| (n, v))).collect();
-        let report = RunReport {
-            planned_cost: plan.cost,
-            execution_seconds: outcome.total_seconds,
-            optimize_seconds,
-            tasks_executed: outcome.metrics.len(),
-            loads: outcome.metrics.iter().filter(|m| m.is_load).count(),
-            new_tasks: aug.new_tasks.len(),
-            expansions: plan.expansions,
-            pops: plan.pops,
-            stored: report_mat.stored.len(),
-            evicted: report_mat.evicted.len(),
-            values,
-        };
-        Ok((report, parallel.metrics, commit_epoch))
+        durable.map_err(SubmitError::Durability)?;
+        let report = engine::run_report(aug, plan, &outcome, optimize_seconds, &materialized);
+        Ok((report, metrics, commit_epoch))
     }
 
     /// Submit K pipelines as one jointly planned batch (the concurrent
@@ -491,40 +425,16 @@ impl SharedHyppo {
 
         // Augment + annotate every item against ONE epoch snapshot.
         let snap = self.snapshot();
-        let augs: Vec<Augmentation> = pipelines
-            .iter()
-            .map(|p| {
-                augment::augment(p, &snap.history, &self.config.dictionary, self.config.augment)
-            })
-            .collect();
-        let costs: Vec<Vec<f64>> =
-            augs.iter().map(|a| annotate_costs(a, &snap.estimator, &self.store)).collect();
-        let planner = self.config.search.clone().bounds_cache(Arc::clone(&self.bounds_cache));
-        let items: Vec<BatchItem<'_, _, _>> = augs
-            .iter()
-            .zip(&costs)
-            .map(|(a, c)| {
-                BatchItem::new(
-                    &a.graph,
-                    PlanRequest::new(c, a.source, &a.targets).with_new_tasks(&a.new_tasks),
-                )
-            })
-            .collect();
-        let batch = planner.plan_batch(&items);
-        drop(items);
-        let plans: Vec<Plan> = batch
-            .plans
-            .iter()
-            .map(|p| p.clone().ok_or(SubmitError::NoPlan))
-            .collect::<Result<_, _>>()?;
-        let shared_artifacts: Vec<ArtifactName> = batch
-            .shared_edges
-            .iter()
-            .filter(|e| e.index() < augs[0].graph.edge_bound())
-            .flat_map(|&e| augs[0].graph.edge_ref(e).head.iter())
-            .map(|&n| augs[0].graph.node(n).name)
-            .collect();
-        let optimize_share = opt_start.elapsed().as_secs_f64() / augs.len() as f64;
+        let PlannedBatch { augs, costs, plans, stats, shared_artifacts, optimize_share } =
+            engine::plan_batch(
+                &pipelines,
+                &snap.history,
+                &snap.estimator,
+                &self.store,
+                &self.config,
+                &self.bounds_cache,
+                opt_start,
+            )?;
 
         let mut reports = Vec::with_capacity(augs.len());
         let mut replans = 0usize;
@@ -558,7 +468,7 @@ impl SharedHyppo {
         Ok(SharedBatchRun {
             batch: BatchRunReport {
                 reports,
-                batch: batch.stats,
+                batch: stats,
                 bounds_delta,
                 shared_artifacts,
                 replans,

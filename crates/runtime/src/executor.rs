@@ -32,7 +32,7 @@
 //! (`DESIGN.md` §16).
 
 use hyppo_core::augment::Augmentation;
-use hyppo_core::executor::{ExecError, ExecOutcome, TaskMetric};
+use hyppo_core::executor::{execute_edge, ExecError, ExecOutcome, TaskMetric};
 use hyppo_core::ArtifactStorage;
 use hyppo_hypergraph::{execution_order, EdgeId, InDegreeTracker, NodeId};
 use hyppo_ml::Artifact;
@@ -86,43 +86,6 @@ struct Job {
 }
 
 type TaskResult = Result<(Vec<Artifact>, f64, u64), ExecError>;
-
-/// Run one hyperedge: the Real-mode body of the serial executor.
-fn run_edge(
-    aug: &Augmentation,
-    e: EdgeId,
-    inputs: &[Arc<Artifact>],
-    store: &impl ArtifactStorage,
-) -> TaskResult {
-    let label = aug.graph.edge(e);
-    if label.is_load() {
-        let head = aug.graph.head(e)[0];
-        let name = aug.graph.node(head).name;
-        let (artifact, cost) = match &label.dataset {
-            Some(id) => {
-                store.load_dataset(id).ok_or_else(|| ExecError::MissingDataset(id.clone()))?
-            }
-            None => store
-                .load_artifact(name)
-                .map_err(|err| ExecError::Corrupt(name, err))?
-                .ok_or(ExecError::MissingArtifact(name))?,
-        };
-        let cells = artifact_cells(&artifact);
-        Ok((vec![artifact], cost, cells))
-    } else {
-        let refs: Vec<&Artifact> = inputs.iter().map(Arc::as_ref).collect();
-        let cells: u64 = refs.iter().map(|a| artifact_cells(a)).sum();
-        let start = Instant::now();
-        let outputs =
-            hyppo_ml::execute(label.op, label.task, label.impl_index, &label.config, &refs)?;
-        Ok((outputs, start.elapsed().as_secs_f64(), cells))
-    }
-}
-
-/// Mirror of the serial executor's statistics bucket key.
-fn artifact_cells(a: &Artifact) -> u64 {
-    (a.size_bytes() as u64 / 8).max(1)
-}
 
 /// Execute `plan_edges` concurrently on `workers` threads (Real mode).
 ///
@@ -215,18 +178,9 @@ pub fn execute_plan_parallel<S: ArtifactStorage + Sync>(
                                 produced.insert(head, artifact);
                             }
                         }
-                        let label = aug.graph.edge(e);
                         indexed_metrics.push((
                             serial_pos[&e],
-                            TaskMetric {
-                                edge: e,
-                                op: label.op,
-                                task: label.task,
-                                impl_index: label.impl_index,
-                                cost_seconds,
-                                input_cells,
-                                is_load: label.is_load(),
-                            },
+                            TaskMetric::of(aug, e, cost_seconds, input_cells),
                         ));
                         waiting.extend(tracker.complete(&aug.graph, e));
                     }
@@ -240,7 +194,8 @@ pub fn execute_plan_parallel<S: ArtifactStorage + Sync>(
         |mut w| loop {
             match w.next_step() {
                 Step::Task(job) => {
-                    let result = run_edge(aug, job.edge, &job.inputs, store);
+                    let inputs: Vec<&Artifact> = job.inputs.iter().map(Arc::as_ref).collect();
+                    let result = execute_edge(aug, job.edge, &inputs, store);
                     if done_tx.send((job.edge, result)).is_err() {
                         return;
                     }

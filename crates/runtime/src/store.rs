@@ -55,35 +55,7 @@ impl SharedArtifactStore {
         }
     }
 
-    /// Shard a single-owner store: datasets move to shard 0, artifacts are
-    /// redistributed by name without a decode/encode round trip, and every
-    /// shard inherits the source store's bandwidth model.
-    pub fn from_store(mut store: ArtifactStore, n_shards: usize) -> Self {
-        let shared = SharedArtifactStore::new(n_shards);
-        {
-            let mut shards: Vec<RwLockWriteGuard<'_, ArtifactStore>> = shared
-                .inner
-                .shards
-                .iter()
-                .map(|s| s.write().expect("fresh store lock poisoned"))
-                .collect();
-            for shard in shards.iter_mut() {
-                shard.bandwidth = store.bandwidth;
-                shard.overhead = store.overhead;
-            }
-            for (id, dataset) in store.take_datasets() {
-                shards[0].register_dataset(&id, dataset);
-            }
-            let n = shards.len();
-            for (name, bytes) in store.entries() {
-                shards[shard_of(name, n)].insert_raw(name, bytes.clone());
-            }
-        }
-        shared
-    }
-
-    /// Merge the shards back into a single-owner store (the inverse of
-    /// [`SharedArtifactStore::from_store`]). Callers are expected to have
+    /// Merge the shards back into a single-owner store. Callers are expected to have
     /// joined every thread holding a clone; the merge reads a consistent
     /// snapshot under the shard locks either way.
     pub fn into_store(self) -> ArtifactStore {
@@ -231,23 +203,19 @@ mod tests {
     }
 
     #[test]
-    fn from_store_into_store_roundtrip() {
-        let mut single = ArtifactStore::new();
-        single.bandwidth = 1_048_576.0;
-        single.register_dataset("d", dataset(10));
+    fn into_store_merges_every_shard() {
+        let mut shared = SharedArtifactStore::new(4);
+        shared.register_dataset("d", dataset(10));
         for i in 0..20u64 {
-            single.put(ArtifactName(i), &Artifact::Value(i as f64));
+            shared.put_artifact(ArtifactName(i), &Artifact::Value(i as f64));
         }
-        let shared = SharedArtifactStore::from_store(single.clone(), 4);
-        assert_eq!(shared.len(), 20);
-        assert!(shared.dataset_shape("d").is_some());
         let merged = shared.into_store();
         assert_eq!(merged.len(), 20);
+        assert!(merged.dataset("d").is_some(), "datasets live in shard 0");
         for i in 0..20u64 {
             let (a, _) = merged.load(ArtifactName(i)).unwrap().unwrap();
             assert_eq!(a, Artifact::Value(i as f64));
         }
-        assert!((merged.bandwidth - single.bandwidth).abs() < 1e-9, "bandwidth model survives");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fixed-capacity Chase–Lev work-stealing deque.
 //!
 //! One deque per worker. The **owner** pushes and pops at the *bottom*
-//! (LIFO, cache-hot); **thieves** remove batches from the *top* (FIFO,
+//! (LIFO, cache-hot); **thieves** remove items from the *top* (FIFO,
 //! oldest work first) by compare-and-swapping the top index. The buffer
 //! never grows: `top`/`bottom` are monotonically increasing indices mapped
 //! onto a power-of-two ring, and a full deque rejects the push so the
@@ -10,15 +10,18 @@
 //! Chase–Lev deque — there is exactly one buffer for the deque's lifetime,
 //! so a thief can never observe a freed allocation.
 //!
-//! The one deliberately racy part is the classic Chase–Lev arbitration: a
-//! thief *copies* slots out before CASing `top`, and on CAS failure the
-//! copies are abandoned with [`std::mem::forget`] (never dropped, never
-//! read). A copy is only *kept* when the CAS succeeds, and a successful
-//! CAS from `t` proves the owner never saw `top > t`, which is the
-//! precondition for the owner overwriting any slot in `t..t+n` — so every
-//! kept copy is a fully published, un-overwritten value. Each unsafe block
-//! below carries its own `SAFETY:` note spelling out the local half of
-//! this argument.
+//! A batch steal is a sequence of classic single-item Chase–Lev steals:
+//! every claim reads `bottom` after a `SeqCst` fence, copies slot `top`,
+//! and keeps the copy only if its CAS `top → top + 1` wins (crossbeam's
+//! LIFO `steal_batch` works the same way). Claiming one index per CAS is
+//! what keeps the owner's CAS-free pop sound: the owner takes an index
+//! above `top` without a CAS, and a thief may only claim an index it has
+//! seen below a `bottom` read *after* its own fence. A window claimed in
+//! one CAS from an earlier `bottom` read would let the owner pop into it,
+//! and both sides would then own the same item. A failed CAS abandons its
+//! copy with [`std::mem::forget`] (never dropped, never read). Each unsafe
+//! block below carries its own `SAFETY:` note spelling out the local half
+//! of this argument.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -121,20 +124,20 @@ impl<T> Deque<T> {
             }
             return None;
         }
-        // SAFETY: `t < b` after the fence, so a thief taking index `b` needs
-        // `top` to reach `b` first — impossible here, an in-flight CAS from a
-        // stale `top` fails. The owner wrote the slot (same-thread order).
+        // SAFETY: `t < b` after the fence; a thief claims `b` only after its
+        // own fence reads `bottom > b` — impossible once our reservation is
+        // ordered first (module docs). The owner wrote the slot itself.
         Some(unsafe { self.read_at(b) })
     }
 
     /// Thief-side batch steal: move up to `max` items (at most half the
-    /// victim's visible work, at least one) from the top into `out`.
-    /// Returns how many were stolen; `0` means the victim was empty or too
-    /// contended to bother with.
+    /// victim's visible work, at least one) from the top into `out`, one
+    /// CAS per item. Returns how many were stolen; `0` means the victim was
+    /// empty or too contended to bother with.
     pub(crate) fn steal_into(&self, out: &mut Vec<T>, max: usize) -> usize {
         debug_assert!(max > 0);
         for _ in 0..STEAL_RETRIES {
-            let t = self.top.load(Ordering::Acquire);
+            let mut t = self.top.load(Ordering::Acquire);
             // Order the `top` read before the `bottom` read so the window
             // `[t, b)` is never widened by reordering; pairs with the
             // owner's pop fence.
@@ -146,38 +149,41 @@ impl<T> Deque<T> {
             }
             // Take at most half (rounded up) so the victim keeps making
             // progress on its own work.
-            let n = (available as usize).div_ceil(2).min(max);
-            // Racy reads, arbitrated below. Each index in `t..t+n` is `< b`,
-            // and the Acquire load of `bottom` above synchronizes with the
-            // owner's Release store after writing those slots, so if no
-            // overwrite intervened the copies are the published values. An
-            // overwrite of any slot in the window requires the owner to have
-            // observed `top > t`, which forces the CAS below to fail — and
-            // then every copy is forgotten, never read or dropped.
-            let mut tmp: Vec<T> = Vec::with_capacity(n);
-            for k in 0..n {
-                // SAFETY: window copy per the argument above; kept only if
-                // the CAS below wins, forgotten otherwise.
-                tmp.push(unsafe { self.read_at(t.wrapping_add(k as isize)) });
+            let want = (available as usize).div_ceil(2).min(max);
+            let mut taken = 0;
+            while taken < want {
+                // Every claim after the first re-reads `bottom`: the owner
+                // may have popped into `[t, b)` since the read above. Our
+                // last CAS wrote `top == t` before this fence, so the
+                // owner's pop fence sees either our claim or we its pop.
+                if taken > 0 {
+                    fence(Ordering::SeqCst);
+                    if self.bottom.load(Ordering::Acquire).wrapping_sub(t) <= 0 {
+                        break;
+                    }
+                }
+                // SAFETY: `t < bottom` as read after the fence, so slot `t`
+                // was published (Acquire on `bottom`); the copy is kept only
+                // if the CAS from `t` wins, and forgotten otherwise.
+                let item = unsafe { self.read_at(t) };
+                if self
+                    .top
+                    // hyppo-lint: allow(relaxed-ordering-justified) single-item claim CAS; success transfers slot ownership (module docs), failure forgets the copy so no ordering is needed
+                    .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
+                    .is_err()
+                {
+                    // Lost the race: another thief (or the owner's
+                    // last-element pop) advanced `top`. The copy was never
+                    // ours.
+                    std::mem::forget(item);
+                    break;
+                }
+                out.push(item);
+                t = t.wrapping_add(1);
+                taken += 1;
             }
-            if self
-                .top
-                // hyppo-lint: allow(relaxed-ordering-justified) batch-claim CAS; success transfers slot ownership (module docs), failure path forgets the copies so no ordering is needed
-                .compare_exchange(
-                    t,
-                    t.wrapping_add(n as isize),
-                    Ordering::SeqCst,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                out.extend(tmp);
-                return n;
-            }
-            // Lost the race: another thief (or the owner's last-element
-            // pop) advanced `top`. The copies were never ours.
-            for item in tmp.drain(..) {
-                std::mem::forget(item);
+            if taken > 0 {
+                return taken;
             }
         }
         0

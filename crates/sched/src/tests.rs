@@ -211,3 +211,66 @@ fn inject_batch_counts_and_drains() {
     assert_eq!(processed.load(O::SeqCst), 10);
     assert_eq!(sched.stats().injected, 10);
 }
+
+/// Batch steals against the owner's CAS-free pop path: the owner pushes
+/// and pops in bursts while a thief claims up to 8 items per
+/// `steal_into`, at capacities where a batch can hold more than one item.
+/// Every item must be taken exactly once. A batch claim that overlaps an
+/// owner pop would count one item twice and leave another stranded.
+#[test]
+fn batch_steals_take_every_item_exactly_once() {
+    use crate::deque::Deque;
+    use std::sync::atomic::{AtomicBool, AtomicU8};
+    const N: usize = 100_000;
+    for capacity in [8usize, 16, 64] {
+        let d: Deque<usize> = Deque::new(capacity);
+        let taken: Vec<AtomicU8> = (0..N).map(|_| AtomicU8::new(0)).collect();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut out = Vec::new();
+                loop {
+                    out.clear();
+                    let n = d.steal_into(&mut out, 8);
+                    for &i in &out {
+                        taken[i].fetch_add(1, O::SeqCst);
+                    }
+                    // The owner raises `done` only after draining the deque
+                    // empty, and only the owner pushes: nothing reappears.
+                    if n == 0 && done.load(O::SeqCst) {
+                        return;
+                    }
+                }
+            });
+            // Owner: fill a burst, then pop part of it back, so the pops
+            // keep landing inside the window a concurrent thief just read.
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            let mut next = 0usize;
+            while next < N {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let burst = 1 + (rng % capacity as u64) as usize;
+                for _ in 0..burst.min(N - next) {
+                    if d.push(next).is_err() {
+                        break;
+                    }
+                    next += 1;
+                }
+                for _ in 0..(rng >> 32) as usize % (burst + 1) {
+                    if let Some(i) = d.pop() {
+                        taken[i].fetch_add(1, O::SeqCst);
+                    }
+                }
+            }
+            while let Some(i) = d.pop() {
+                taken[i].fetch_add(1, O::SeqCst);
+            }
+            done.store(true, O::SeqCst);
+        });
+        for (i, count) in taken.iter().enumerate() {
+            let count = count.load(O::SeqCst);
+            assert_eq!(count, 1, "capacity {capacity}: item {i} taken {count} times");
+        }
+    }
+}

@@ -62,9 +62,7 @@ pub use client::{BatchHandle, Client, CompletedSubmission, SubmissionHandle};
 pub use runtime::{
     AdmissionPolicy, ServeConfig, ServeError, ServeMetrics, ServeRuntime, TicketStats,
 };
-pub use sessions::{
-    run_sessions_concurrent, ConcurrentSessions, RuntimeMetrics, SessionReport, SessionsOutcome,
-};
+pub use sessions::{run_sessions_concurrent, RuntimeMetrics, SessionReport, SessionsOutcome};
 
 // Re-exported so serving callers see one coherent API without importing
 // the runtime crate for the common types.

@@ -10,16 +10,12 @@
 //! thread-per-session driver; what changed is that N sessions no longer
 //! cost N threads, and the outcome now carries the serving gauges
 //! (queue depth, mailbox wait, epoch lag).
-//!
-//! [`ConcurrentSessions`] gives the serial [`Hyppo`] facade the same
-//! entry point by moving its state into a temporary runtime and back.
 
 use crate::client::Client;
 use crate::runtime::{ServeConfig, ServeError, ServeRuntime};
-use hyppo_core::system::{Hyppo, RunReport, SubmitError};
-use hyppo_core::{ArtifactStore, CostEstimator, History};
+use hyppo_core::system::RunReport;
 use hyppo_pipeline::PipelineSpec;
-use hyppo_runtime::{SharedHyppo, DEFAULT_SHARDS};
+use hyppo_runtime::SharedHyppo;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -203,47 +199,5 @@ pub fn run_sessions_concurrent(
     match runtime.shutdown() {
         Ok(backend) => (outcome, backend),
         Err(e) => unreachable!("shutdown without durability cannot fail: {e}"),
-    }
-}
-
-/// Extension: run concurrent scripted sessions from the serial [`Hyppo`]
-/// facade by temporarily moving its state into an actor runtime.
-pub trait ConcurrentSessions {
-    /// Run `sessions` concurrently, each plan on `workers_per_plan`
-    /// wavefront workers.
-    fn run_sessions_concurrent(
-        &mut self,
-        sessions: Vec<Vec<PipelineSpec>>,
-        workers_per_plan: usize,
-    ) -> Result<SessionsOutcome, SubmitError>;
-}
-
-impl ConcurrentSessions for Hyppo {
-    fn run_sessions_concurrent(
-        &mut self,
-        sessions: Vec<Vec<PipelineSpec>>,
-        workers_per_plan: usize,
-    ) -> Result<SessionsOutcome, SubmitError> {
-        let history = std::mem::replace(&mut self.history, History::new());
-        let estimator = std::mem::replace(&mut self.estimator, CostEstimator::new());
-        let store = std::mem::replace(&mut self.store, ArtifactStore::new());
-        let shared =
-            SharedHyppo::from_parts(self.config.clone(), history, estimator, store, DEFAULT_SHARDS);
-        let (result, shared) = run_sessions_concurrent(shared, sessions, workers_per_plan);
-        // State flows back whether the batch succeeded or not — completed
-        // sessions' history must never be lost.
-        let shared = Arc::try_unwrap(shared)
-            .expect("runtime shut down and all clients dropped: sole Arc remains");
-        let (history, estimator, store, executed_seconds) = shared.into_parts();
-        self.history = history;
-        self.estimator = estimator;
-        self.store = store;
-        self.cumulative_seconds += executed_seconds;
-        let outcome = result.map_err(SubmitError::from)?;
-        // The moved-back history carries any events the batch journaled
-        // (the shared system had no hook of its own); drain them into the
-        // serial facade's hook so the batch becomes durable too.
-        self.flush_durability().map_err(SubmitError::Durability)?;
-        Ok(outcome)
     }
 }

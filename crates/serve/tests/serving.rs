@@ -1,15 +1,14 @@
 //! Serving-layer behavior: the Client API, scripted session batches over
 //! the actor runtime, and the invariants the old thread-per-session
-//! driver guaranteed (no deadlock, budget respected, state preserved on
-//! failure, virtual clock in simulated mode).
+//! driver guaranteed (no deadlock, budget respected, virtual clock in
+//! simulated mode).
 
 use hyppo_core::executor::ExecMode;
-use hyppo_core::{Hyppo, HyppoConfig, Session};
+use hyppo_core::{HyppoConfig, Session};
 use hyppo_pipeline::PipelineSpec;
 use hyppo_runtime::SharedHyppo;
 use hyppo_serve::{
-    run_sessions_concurrent, AdmissionPolicy, ConcurrentSessions, ServeConfig, ServeError,
-    ServeRuntime,
+    run_sessions_concurrent, AdmissionPolicy, ServeConfig, ServeError, ServeRuntime,
 };
 use hyppo_workloads::ensemble_wl::wide_ensemble_spec;
 use hyppo_workloads::taxi;
@@ -196,33 +195,6 @@ fn budget_is_respected_under_concurrent_sessions() {
     let shared = Arc::try_unwrap(shared).expect("runtime shut down");
     let (_, _, store, _) = shared.into_parts();
     assert!(store.used_bytes() <= budget, "store uses {} > budget {budget}", store.used_bytes());
-}
-
-#[test]
-fn concurrent_sessions_feed_later_serial_reuse() {
-    let mut sys = Hyppo::new(config(64 * 1024 * 1024));
-    sys.register_dataset("taxi", taxi::generate(300, 5));
-    let outcome = sys.run_sessions_concurrent(sessions(4), 2).unwrap();
-    assert_eq!(outcome.metrics.sessions, 4);
-    // State moved back: the serial facade sees the concurrent history.
-    assert!(sys.history.artifact_count() > 0);
-    assert!(sys.cumulative_seconds > 0.0);
-    // A serial resubmission of a session's pipeline now reuses
-    // materialized artifacts.
-    let report = sys.submit(wide_ensemble_spec("taxi", 3, 7)).unwrap();
-    assert!(report.loads >= 1, "resubmission should load materialized artifacts");
-}
-
-#[test]
-fn missing_dataset_fails_but_preserves_state() {
-    let mut sys = Hyppo::new(config(0));
-    sys.register_dataset("taxi", taxi::generate(100, 5));
-    let batch =
-        vec![vec![wide_ensemble_spec("taxi", 2, 1)], vec![wide_ensemble_spec("nope", 2, 1)]];
-    let err = sys.run_sessions_concurrent(batch, 2);
-    assert!(err.is_err());
-    // The failed batch must not have wiped the moved-out state.
-    assert!(sys.store.dataset("taxi").is_some());
 }
 
 #[test]

@@ -46,9 +46,13 @@ echo "== serve == multi-tenant serving suite (HYPPO_PLANNER_THREADS=4)"
 # bounded-admission execute-once properties under rejection/cancel races,
 # and per-tenant bit-identity to isolated replay across 50+ seeds — all
 # re-run with the env-default planner forced to 4 workers so the parallel
-# search interleaves with the serving layer's own worker pool.
+# search interleaves with the serving layer's own worker pool. The
+# cross-driver gate (tests/driver_equivalence.rs) checks that the serial
+# `Hyppo` and the concurrent `SharedHyppo` leave bit-identical reports,
+# durable event streams and catalogs on one operation stream.
 HYPPO_PLANNER_THREADS=4 cargo test --offline -q -p hyppo-serve
 HYPPO_PLANNER_THREADS=4 cargo test --offline -q --test group_commit_crash
+HYPPO_PLANNER_THREADS=4 cargo test --offline -q --test driver_equivalence
 
 echo "== persist: crash-recovery property suite =="
 # Durability gate (crates/persist, DESIGN.md §12): recovery must be

@@ -89,16 +89,18 @@
 //! over the actor runtime (each session becomes a tenant):
 //!
 //! ```
-//! use hyppo::core::{Hyppo, HyppoConfig};
-//! use hyppo::serve::ConcurrentSessions;
+//! use hyppo::core::HyppoConfig;
+//! use hyppo::runtime::SharedHyppo;
+//! use hyppo::serve::run_sessions_concurrent;
 //! use hyppo::workloads::ensemble_wl::wide_ensemble_spec;
 //! use hyppo::workloads::taxi;
 //!
-//! let mut sys = Hyppo::new(HyppoConfig { budget_bytes: 1 << 24, ..Default::default() });
-//! sys.register_dataset("taxi", taxi::generate(200, 5));
+//! let shared = SharedHyppo::new(HyppoConfig { budget_bytes: 1 << 24, ..Default::default() });
+//! shared.register_dataset("taxi", taxi::generate(200, 5));
 //!
 //! let sessions = (0..4).map(|i| vec![wide_ensemble_spec("taxi", 3, i)]).collect();
-//! let outcome = sys.run_sessions_concurrent(sessions, 2).unwrap();
+//! let (outcome, _shared) = run_sessions_concurrent(shared, sessions, 2);
+//! let outcome = outcome.unwrap();
 //! assert_eq!(outcome.metrics.sessions, 4);
 //! assert!(outcome.metrics.speedup() > 0.0);
 //! ```

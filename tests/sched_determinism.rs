@@ -6,9 +6,11 @@
 //! any thread count under any steal schedule. This suite forces the worst
 //! schedule it can: `HYPPO_SCHED_CAPACITY=2` shrinks every worker deque to
 //! two slots, so nearly every spawn spills to the shared injector and
-//! nearly every claim crosses worker boundaries (the 1-core container
-//! still interleaves workers preemptively; `scripts/ci.sh` runs this suite
-//! under `HYPPO_PLANNER_THREADS=4` as the `== sched ==` stage).
+//! nearly every claim crosses worker boundaries (a single core still
+//! interleaves workers preemptively; `scripts/ci.sh` runs this suite
+//! under `HYPPO_PLANNER_THREADS=4` as the `== sched ==` stage). Two-slot
+//! deques never expose more than one item to a thief, so the planner case
+//! also runs at capacity 8, where steals take batches.
 //!
 //! The scheduler's own shutdown/empty-steal regression pair (mirroring the
 //! old central-lock `SharedPlanQueue` tests) lives in `crates/sched`; this
@@ -27,13 +29,24 @@ use hyppo::serve::{ServeConfig, ServeRuntime};
 use hyppo::tensor::SeededRng;
 use hyppo::workloads::ensemble_wl::wide_ensemble_spec;
 use hyppo::workloads::{generator::generate_sequence, taxi, SequenceConfig, UseCase};
+use std::sync::{Mutex, MutexGuard};
 
-/// Shrink every deque to two slots. All tests in this binary set the same
-/// value, so the cross-thread `set_var` race is benign — and integration
-/// test binaries are separate processes, so nothing leaks into other
-/// suites.
-fn force_tiny_deques() {
-    std::env::set_var(SCHED_CAPACITY_ENV, "2");
+/// Held by every test in this binary for its whole run: the deque
+/// capacity is a process-wide variable, and tests set different values.
+/// Integration test binaries are separate processes, so nothing leaks into
+/// other suites.
+static CAPACITY_LOCK: Mutex<()> = Mutex::new(());
+
+/// Set every new scheduler's deque capacity until the guard drops.
+fn force_deque_capacity(capacity: usize) -> MutexGuard<'static, ()> {
+    let guard = CAPACITY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var(SCHED_CAPACITY_ENV, capacity.to_string());
+    guard
+}
+
+/// Shrink every deque to two slots.
+fn force_tiny_deques() -> MutexGuard<'static, ()> {
+    force_deque_capacity(2)
 }
 
 type G = HyperGraph<u32, ()>;
@@ -89,7 +102,20 @@ fn random_instance(seed: u64) -> (G, Vec<f64>, NodeId, Vec<NodeId>) {
 /// returned plan still matches serial bit for bit at every thread count.
 #[test]
 fn planner_is_bit_identical_under_steal_heavy_schedules() {
-    force_tiny_deques();
+    let _capacity = force_tiny_deques();
+    assert_planner_matches_serial();
+}
+
+/// A two-slot deque never shows a thief more than one item, so the test
+/// above cannot reach a batch steal. At capacity 8 a steal claims up to
+/// half a victim's deque: plans must still match serial bit for bit.
+#[test]
+fn planner_is_bit_identical_under_batch_steals() {
+    let _capacity = force_deque_capacity(8);
+    assert_planner_matches_serial();
+}
+
+fn assert_planner_matches_serial() {
     let mut feasible = 0usize;
     for seed in 0..60u64 {
         let (g, costs, s, t) = random_instance(seed);
@@ -126,7 +152,7 @@ fn planner_is_bit_identical_under_steal_heavy_schedules() {
 /// every worker count, even when ready tasks bounce between tiny deques.
 #[test]
 fn executor_artifacts_are_bit_identical_under_steal_heavy_schedules() {
-    force_tiny_deques();
+    let _capacity = force_tiny_deques();
     let spec = wide_ensemble_spec("taxi", 4, 11);
     let pipeline = build_pipeline(spec);
     let history = History::new();
@@ -198,7 +224,7 @@ fn serve_replay(seed: u64, workers: usize) -> Vec<SharedRun> {
 /// bit for bit (simulated mode, so every report field is deterministic).
 #[test]
 fn serve_reports_are_bit_identical_under_steal_heavy_schedules() {
-    force_tiny_deques();
+    let _capacity = force_tiny_deques();
     for seed in [3u64, 8, 15] {
         let wide = serve_replay(seed, 4);
         let narrow = serve_replay(seed, 1);
